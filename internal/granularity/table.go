@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // This file implements the periodic-set conversion tables: every registry
@@ -82,15 +83,20 @@ type PeriodicTable struct {
 	origin int64 // absolute second at which granule prefix+1 starts
 
 	// Prefix spans, in absolute seconds, sorted; preGranLo[i]..preGranLo[i+1]
-	// delimit the spans of prefix granule i (0-based).
+	// delimit the spans of prefix granule i (0-based), and preSpanGran[k] is
+	// the granule owning span k.
 	preFirst, preLast []int64
 	preGranLo         []int32
+	preSpanGran       []int32
 
 	// One period's spans, as offsets in [0, period) relative to the period
 	// origin; granLo[j]..granLo[j+1] delimit the spans of periodic granule j.
 	first, last []int64
 	spanGran    []int32
 	granLo      []int32
+
+	sigOnce sync.Once
+	sig     string
 }
 
 // Name returns the source granularity's name.
@@ -126,8 +132,15 @@ func (pt *PeriodicTable) Bound() int64 { return pt.bound }
 
 // Signature digests the table layout (prefix, period, every span offset) so
 // checkpoint fingerprints can bind a snapshot to the exact table build it
-// was taken under: same name, different table ⇒ different signature.
+// was taken under: same name, different table ⇒ different signature. It is
+// computed once per table, in O(spans); persisted checkpoints embed it, so
+// its bytes are frozen (testdata/table_signatures.golden.json).
 func (pt *PeriodicTable) Signature() string {
+	pt.sigOnce.Do(func() { pt.sig = pt.signature() })
+	return pt.sig
+}
+
+func (pt *PeriodicTable) signature() string {
 	h := sha256.New()
 	b := int64(0)
 	if pt.bounded {
@@ -135,22 +148,12 @@ func (pt *PeriodicTable) Signature() string {
 	}
 	fmt.Fprintf(h, "%s|u%d|p%d|n%d|P%d|o%d|b%d\n", pt.name, pt.uniform, pt.prefix, pt.n, pt.period, pt.origin, b)
 	for i := range pt.preFirst {
-		fmt.Fprintf(h, "q%d:%d-%d\n", pt.preGranOf(i), pt.preFirst[i], pt.preLast[i])
+		fmt.Fprintf(h, "q%d:%d-%d\n", pt.preSpanGran[i], pt.preFirst[i], pt.preLast[i])
 	}
 	for i := range pt.first {
 		fmt.Fprintf(h, "s%d:%d-%d\n", pt.spanGran[i], pt.first[i], pt.last[i])
 	}
 	return hex.EncodeToString(h.Sum(nil)[:12])
-}
-
-// preGranOf returns the prefix granule owning prefix span i.
-func (pt *PeriodicTable) preGranOf(i int) int32 {
-	for g := 0; g+1 < len(pt.preGranLo); g++ {
-		if int32(i) < pt.preGranLo[g+1] {
-			return int32(g)
-		}
-	}
-	return 0
 }
 
 // TickOf returns the granule containing second t, exactly as the source
@@ -162,23 +165,16 @@ func (pt *PeriodicTable) TickOf(t int64) (int64, bool) {
 	if pt.uniform > 0 {
 		return (t-1)/pt.uniform + 1, true
 	}
-	if pt.bounded {
-		if t > pt.bound {
-			return pt.src.TickOf(t)
-		}
-		i := sort.Search(len(pt.preFirst), func(k int) bool { return pt.preFirst[k] > t }) - 1
-		if i < 0 || t > pt.preLast[i] {
-			return 0, false
-		}
-		return int64(pt.preGranOf(i)) + 1, true
+	if pt.bounded && t > pt.bound {
+		return pt.src.TickOf(t)
 	}
-	if t < pt.origin {
-		// Inside the irregular prefix (or a leading gap).
+	if pt.bounded || t < pt.origin {
+		// Inside the explicit prefix (or a leading gap).
 		i := sort.Search(len(pt.preFirst), func(k int) bool { return pt.preFirst[k] > t }) - 1
 		if i < 0 || t > pt.preLast[i] {
 			return 0, false
 		}
-		return int64(pt.preGranOf(i)) + 1, true
+		return int64(pt.preSpanGran[i]) + 1, true
 	}
 	off := t - pt.origin
 	p := off / pt.period
@@ -413,6 +409,7 @@ func buildBoundedTable(g Granularity) *PeriodicTable {
 		for _, iv := range ivs {
 			pt.preFirst = append(pt.preFirst, iv.First)
 			pt.preLast = append(pt.preLast, iv.Last)
+			pt.preSpanGran = append(pt.preSpanGran, int32(z-1))
 		}
 		pt.preGranLo = append(pt.preGranLo, int32(len(pt.preFirst)))
 		pt.bound = ivs[len(ivs)-1].Last
@@ -491,6 +488,7 @@ func buildTable(g Granularity, prefix, n int64) *PeriodicTable {
 		for _, iv := range ivs {
 			pt.preFirst = append(pt.preFirst, iv.First)
 			pt.preLast = append(pt.preLast, iv.Last)
+			pt.preSpanGran = append(pt.preSpanGran, int32(z-1))
 		}
 		pt.preGranLo = append(pt.preGranLo, int32(len(pt.preFirst)))
 	}

@@ -52,9 +52,13 @@ type jobRecord struct {
 }
 
 // job is one mining job. Its mutex guards the mutable fields; the request
-// and eventsLogged are immutable after submission.
+// and eventsLogged are immutable after submission. persistMu serialises
+// the job's record writes, which all go through one temporary file: a
+// refreshed attempt, a failure or a migration can persist while an earlier
+// attempt that already published its state is still persisting.
 type job struct {
-	mu sync.Mutex
+	mu        sync.Mutex
+	persistMu sync.Mutex
 
 	id           string
 	req          JobCreateRequest
@@ -99,6 +103,7 @@ type jobStore struct {
 	jobs           map[string]*job
 	queue          []*job
 	running        int
+	refreshing     bool // a session-attached attempt is running
 	closed         bool
 	nextID         int
 
@@ -298,7 +303,11 @@ func (st *jobStore) worker() {
 	defer st.wg.Done()
 	for {
 		st.mu.Lock()
-		for len(st.queue) == 0 && !st.closed {
+		var j *job
+		for !st.closed {
+			if j = st.nextLocked(); j != nil {
+				break
+			}
 			st.cond.Wait()
 		}
 		if st.closed {
@@ -306,8 +315,10 @@ func (st *jobStore) worker() {
 			st.mu.Unlock()
 			return
 		}
-		j := st.queue[0]
-		st.queue = st.queue[1:]
+		attached := j.req.SessionID != ""
+		if attached {
+			st.refreshing = true
+		}
 		st.running++
 		// Claim the job before releasing st.mu: export (cluster.go) checks
 		// the state under st.mu, so it can never bundle a job a worker has
@@ -321,8 +332,28 @@ func (st *jobStore) worker() {
 
 		st.mu.Lock()
 		st.running--
+		if attached {
+			st.refreshing = false
+			st.cond.Broadcast()
+		}
 		st.mu.Unlock()
 	}
+}
+
+// nextLocked dequeues the first job a worker may start, or nil. Session-
+// attached attempts run one at a time: each restores its miner and
+// recompiles every candidate's automaton, so overlapping refreshes add up
+// to a multiple of one refresh's peak memory. Batch jobs may pass a
+// waiting refresh. Callers hold st.mu.
+func (st *jobStore) nextLocked() *job {
+	for i, j := range st.queue {
+		if st.refreshing && j.req.SessionID != "" {
+			continue
+		}
+		st.queue = append(st.queue[:i], st.queue[i+1:]...)
+		return j
+	}
+	return nil
 }
 
 // run executes one attempt of a job: build the problem, run (or resume)
@@ -562,8 +593,12 @@ func (st *jobStore) path(id string) string {
 }
 
 // persist writes the job's record atomically. When the input sequence is
-// in the event log, the record omits its inline copy.
+// in the event log, the record omits its inline copy. The record is built
+// under persistMu, so concurrent persists land in state order and the last
+// one to finish wrote the latest state.
 func (st *jobStore) persist(j *job) error {
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	j.mu.Lock()
 	rec := jobRecord{
 		Version:      jobRecordVersion,

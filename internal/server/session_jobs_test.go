@@ -3,15 +3,22 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cli"
 	"repro/internal/engine"
 	"repro/internal/event"
+	"repro/internal/granularity"
 	"repro/internal/mining"
+	"repro/internal/store"
 )
 
 // sessionJobProblem mines the same shape the sessionSpec tracks: X1 ("b")
@@ -309,5 +316,126 @@ func TestSessionJobValidation(t *testing.T) {
 	})
 	if !strings.Contains(failed.Error, "session") {
 		t.Fatalf("refresh after session close failed with %q, want a session error", failed.Error)
+	}
+}
+
+// TestJobPersistConcurrent: a refresh can persist a job while the attempt
+// that finished it is still persisting on another worker. Concurrent
+// persists of one job must all succeed (they share the record's temporary
+// file) and leave the record at the job's latest state.
+func TestJobPersistConcurrent(t *testing.T) {
+	st, err := newJobStore(t.TempDir(), granularity.Default(), engine.NewCounters(), 0, 1, 0, engine.ExecCompiled, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.shutdown)
+	j := &job{id: "j000001", state: JobQueued}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 8; k++ {
+				j.mu.Lock()
+				j.state = []string{JobQueued, JobRunning, JobDone}[k%3]
+				j.errMsg = fmt.Sprintf("g%d-k%d", g, k)
+				j.mu.Unlock()
+				if err := st.persist(j); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	raw, err := os.ReadFile(st.path(j.id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec jobRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != j.state || rec.Error != j.errMsg {
+		t.Fatalf("record holds %s/%s, job is at %s/%s", rec.State, rec.Error, j.state, j.errMsg)
+	}
+}
+
+// TestAttachedAttemptsSerialised: session-attached attempts never run
+// concurrently (each one recompiles every candidate automaton, so overlap
+// doubles peak memory), and a batch job queued behind a waiting attached
+// attempt still runs on the free worker.
+func TestAttachedAttemptsSerialised(t *testing.T) {
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	var active, peak atomic.Int32
+	tail := func(id string, from, fromTime int64) ([]store.Rec, int64, error) {
+		n := active.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		if id == "held" {
+			<-release
+		}
+		active.Add(-1)
+		return nil, 0, nil
+	}
+	st, err := newJobStore(t.TempDir(), granularity.Default(), engine.NewCounters(), 2, 8, 0, engine.ExecCompiled, true, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.shutdown)
+	t.Cleanup(unblock)
+
+	var batch JobCreateRequest
+	if err := json.Unmarshal(jobRequestJSON(t, ""), &batch); err != nil {
+		t.Fatal(err)
+	}
+	attached := func(session string) *JobCreateRequest {
+		r := batch
+		r.Events, r.SessionID = nil, session
+		return &r
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	terminal := func(j *job) bool {
+		s := j.status().State
+		return s == JobDone || s == JobFailed
+	}
+
+	held, err := st.submit(attached("held"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the first attached attempt", func() bool { return active.Load() == 1 })
+	waiting, err := st.submit(attached("free"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := st.submit(&batch, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the batch job", func() bool { return terminal(b) })
+	if s := b.status().State; s != JobDone {
+		t.Fatalf("batch job %s: %s", s, b.status().Error)
+	}
+	if s := waiting.status().State; s != JobQueued {
+		t.Fatalf("second attached job is %s while the first runs, want %s", s, JobQueued)
+	}
+	unblock()
+	waitFor("both attached attempts", func() bool { return terminal(held) && terminal(waiting) })
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("%d attached attempts ran at once, want 1", p)
 	}
 }

@@ -8,6 +8,8 @@ echo '>> go build ./...'
 go build ./...
 echo '>> go vet ./...'
 go vet ./...
+echo '>> tempobench: go build + go vet (its own module; root ./... skips it)'
+(cd tempobench && go build ./... && go vet ./...)
 echo '>> gofmt -l .'
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
