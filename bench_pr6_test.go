@@ -7,41 +7,37 @@ package tempo
 import (
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/granularity"
 	"repro/internal/tag"
 )
-
-// benchStepOptions pins the anchored batch to one execution core.
-func benchStepOptions(mode engine.ExecMode) tag.RunOptions {
-	return tag.RunOptions{Engine: engine.Config{Mode: mode}}
-}
 
 // BenchmarkTAGStepSerialCompiled: the anchored frequency count of the plant
 // workload on one goroutine, stepped by the compiled flat-array program.
 func BenchmarkTAGStepSerialCompiled(b *testing.B) {
 	b.ReportAllocs()
 	a, seq, refIdx := benchTAGBatchSetup(b)
-	opt := benchStepOptions(engine.ExecCompiled)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.AcceptsBatch(nil, benchSys, seq, refIdx, 0, 1, opt); err != nil {
+		if _, err := a.AcceptsBatch(nil, benchSys, seq, refIdx, 0, 1, tag.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkTAGStepSerialInterp: the same batch on the interpreted walker,
-// the PR-6 baseline the compiled core is gated against.
+// BenchmarkTAGStepSerialInterp: the same anchored runs on the interpreted
+// reference (tag.Reference), the baseline of the compiled core's step
+// speedup gate.
 func BenchmarkTAGStepSerialInterp(b *testing.B) {
 	b.ReportAllocs()
 	a, seq, refIdx := benchTAGBatchSetup(b)
-	opt := benchStepOptions(engine.ExecInterp)
+	opt := tag.RunOptions{Anchored: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.AcceptsBatch(nil, benchSys, seq, refIdx, 0, 1, opt); err != nil {
-			b.Fatal(err)
+		for _, ref := range refIdx {
+			if _, _, _, err := tag.Reference.Find(a, benchSys, seq[ref:], opt, false); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/mining"
 )
@@ -69,9 +70,6 @@ func main() {
 }
 
 func run(out io.Writer, specPath, problemPath, seqPath, ref, gransFlag string, defines []string, cpPath string, tau float64, naive, jsonOut bool, explain, workers int, ef *cli.EngineFlags) error {
-	if err := ef.Validate(); err != nil {
-		return err
-	}
 	defer ef.Finish(out)
 	// Text mode streams notices (resume/checkpoint lines) as they happen;
 	// JSON mode suppresses them and emits one canonical document at the end.
@@ -179,7 +177,7 @@ func run(out io.Writer, specPath, problemPath, seqPath, ref, gransFlag string, d
 		}
 		res = &cli.MineResult{Tau: tau, Interrupted: ii}
 	} else {
-		res, err = cli.BuildMineResult(sys, p, seq, ds, stats, tau, explain, ef.Mode())
+		res, err = cli.BuildMineResult(sys, p, seq, ds, stats, tau, explain, engine.ExecCompiled)
 		if err != nil {
 			return err
 		}

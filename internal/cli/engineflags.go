@@ -24,34 +24,26 @@ type EngineFlags struct {
 	// table) or "prom" (Prometheus text exposition, the same bytes tempod
 	// serves on /metrics).
 	StatsFormat string
-	// Exec selects the TAG execution core: "compiled" (default) or
-	// "interp" (the pre-compilation interpreter, kept for one release as
-	// the differential baseline).
-	Exec string
 
 	counters *engine.Counters
 	cancel   context.CancelFunc
 }
 
-// RegisterEngineFlags registers -timeout, -budget, -stats, -stats-format
-// and -exec on fs.
+// RegisterEngineFlags registers -timeout, -budget, -stats and
+// -stats-format on fs.
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef := &EngineFlags{}
 	fs.DurationVar(&ef.Timeout, "timeout", 0, "abort the solve after this wall-clock duration (0 = none)")
 	fs.Int64Var(&ef.Budget, "budget", 0, "abort the solve after this many work units (0 = unbounded)")
 	fs.BoolVar(&ef.Stats, "stats", false, "print engine counters and stage timings on exit")
 	fs.StringVar(&ef.StatsFormat, "stats-format", "table", "render -stats as 'table' or 'prom' (Prometheus text exposition)")
-	fs.StringVar(&ef.Exec, "exec", "compiled", "TAG execution core: 'compiled' or 'interp'")
 	return ef
 }
 
 // Config materializes the flags as an engine.Config. A -timeout starts its
-// deadline now; Finish releases it. An unknown -exec value falls back to
-// the compiled core (ParseExecMode's error is reported by Validate, which
-// commands call right after flag parsing).
+// deadline now; Finish releases it.
 func (ef *EngineFlags) Config() engine.Config {
-	mode, _ := engine.ParseExecMode(ef.Exec)
-	cfg := engine.Config{Budget: ef.Budget, Mode: mode}
+	cfg := engine.Config{Budget: ef.Budget}
 	if ef.Timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), ef.Timeout)
 		ef.cancel = cancel
@@ -62,19 +54,6 @@ func (ef *EngineFlags) Config() engine.Config {
 		cfg.Observer = ef.counters
 	}
 	return cfg
-}
-
-// Validate reports bad flag values after parsing (currently only -exec).
-func (ef *EngineFlags) Validate() error {
-	_, err := engine.ParseExecMode(ef.Exec)
-	return err
-}
-
-// Mode returns the -exec execution mode (compiled for unknown values;
-// Validate reports those).
-func (ef *EngineFlags) Mode() engine.ExecMode {
-	mode, _ := engine.ParseExecMode(ef.Exec)
-	return mode
 }
 
 // Finish releases the -timeout context and, under -stats, writes the

@@ -372,11 +372,12 @@ type MineResult struct {
 }
 
 // BuildMineResult converts a finished mine into the shared result. explain
-// > 0 attaches up to that many witness occurrences per discovery, extracted
-// on the TAG execution core selected by mode (pass the mine's own
-// opt.Engine.Mode so -exec governs the witness runs too).
+// > 0 attaches up to that many witness occurrences per discovery.
+//
+// The final engine.ExecMode argument is ignored: there is one TAG core. It
+// stays only until the benchmark module stops passing engine.ExecCompiled.
 func BuildMineResult(sys *granularity.System, p mining.Problem, seq event.Sequence,
-	ds []mining.Discovery, stats mining.Stats, tau float64, explain int, mode engine.ExecMode) (*MineResult, error) {
+	ds []mining.Discovery, stats mining.Stats, tau float64, explain int, _ engine.ExecMode) (*MineResult, error) {
 	res := &MineResult{
 		Tau: tau,
 		Stats: &MineStats{
@@ -401,7 +402,7 @@ func BuildMineResult(sys *granularity.System, p mining.Problem, seq event.Sequen
 			dr.Assign = append(dr.Assign, VarValue{Var: v, Value: string(d.Assign[core.Variable(v)])})
 		}
 		if explain > 0 {
-			ws, err := mining.ExplainMode(sys, p, seq, d, explain, mode)
+			ws, err := mining.Explain(sys, p, seq, d, explain)
 			if err != nil {
 				return nil, err
 			}

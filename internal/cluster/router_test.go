@@ -320,7 +320,7 @@ func TestClusterSessionJobPinnedAndMigrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Engine = engine.Config{Mode: engine.ExecCompiled}
+	opt.Engine = engine.Config{}
 	ds, _, err := mining.Optimized(sys, p, seq, opt)
 	if err != nil {
 		t.Fatal(err)

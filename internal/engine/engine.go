@@ -108,11 +108,6 @@ type Config struct {
 	// Fault deterministically injects an interruption at planned work
 	// units (Reason "fault") — the chaos-testing harness. nil means none.
 	Fault *FaultPlan
-	// Mode selects the execution core for layers that have both a compiled
-	// and an interpreted implementation (the TAG simulation). The zero value
-	// is ExecCompiled. Mode does not affect Enabled/Start: it is semantic
-	// routing, not control or telemetry.
-	Mode ExecMode
 }
 
 // Enabled reports whether the config asks for any control or telemetry.

@@ -1,47 +1,13 @@
 package engine
 
-import "fmt"
-
-// ExecMode selects which execution core the TAG simulation layer runs: the
-// compiled flat-array program (the default) or the original interpreted
-// node-graph walker. The interpreter is kept for one release as the
-// differential-testing baseline — the oracle runs every contract under both
-// modes and demands byte-identical results — and will be removed once the
-// compiled core has soaked.
+// ExecMode once selected the TAG execution core. The compiled core is now
+// the only one, so the type has a single value.
 //
-// The zero value is ExecCompiled, so existing engine.Config literals pick up
-// the compiled core without changes.
+// Deprecated: kept only so the benchmark module's calls to
+// cli.BuildMineResult still compile; it is ignored and goes away with them.
 type ExecMode int
 
-const (
-	// ExecCompiled runs the flat-array compiled program (default).
-	ExecCompiled ExecMode = iota
-	// ExecInterp runs the original interpreted simulation.
-	ExecInterp
-)
-
-// Interpreted reports whether the mode selects the interpreted core.
-func (m ExecMode) Interpreted() bool { return m == ExecInterp }
-
-// String renders the mode as the -exec flag spells it.
-func (m ExecMode) String() string {
-	switch m {
-	case ExecInterp:
-		return "interp"
-	default:
-		return "compiled"
-	}
-}
-
-// ParseExecMode parses the -exec flag values "compiled" and "interp".
-// The empty string means the default (compiled).
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "", "compiled":
-		return ExecCompiled, nil
-	case "interp", "interpreted":
-		return ExecInterp, nil
-	default:
-		return ExecCompiled, fmt.Errorf("engine: unknown exec mode %q (want compiled or interp)", s)
-	}
-}
+// ExecCompiled is the compiled TAG core, the only one.
+//
+// Deprecated: see ExecMode.
+const ExecCompiled ExecMode = 0

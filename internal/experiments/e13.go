@@ -84,7 +84,7 @@ func E13(quick bool, eng engine.Config) Table {
 			t.Note("ERROR: %v", err)
 			return t
 		}
-		ok, _ := a.Accepts(sys, seq, tag.RunOptions{Engine: engine.Config{Mode: eng.Mode}})
+		ok, _ := a.Accepts(sys, seq, tag.RunOptions{})
 		t.AddRow("unroll", fmt.Sprintf("k=%d repetitions", k),
 			fmt.Sprintf("TAG %d states / %d clocks, occurs=%v", a.NumStates(), len(a.Clocks()), ok))
 	}

@@ -382,6 +382,13 @@ func (inc *Incremental) Checkpoint() (*Checkpoint, error) {
 	for _, t := range inc.typeOrder {
 		st.Types = append(st.Types, string(t))
 	}
+	// Matches sort by printed assignment, each key computed once; the
+	// assignments are distinct, so the order is total.
+	type keyed struct {
+		key string
+		m   IncrementalMatch
+	}
+	var ks []keyed
 	for _, c := range inc.cands {
 		if c.matches == 0 {
 			continue
@@ -390,11 +397,12 @@ func (inc *Incremental) Checkpoint() (*Checkpoint, error) {
 		for v, t := range c.full {
 			assign[string(v)] = string(t)
 		}
-		st.Matches = append(st.Matches, IncrementalMatch{Assign: assign, Matches: c.matches})
+		ks = append(ks, keyed{fmt.Sprint(assign), IncrementalMatch{Assign: assign, Matches: c.matches}})
 	}
-	sort.Slice(st.Matches, func(i, j int) bool {
-		return fmt.Sprint(st.Matches[i].Assign) < fmt.Sprint(st.Matches[j].Assign)
-	})
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	for _, k := range ks {
+		st.Matches = append(st.Matches, k.m)
+	}
 	for k, n := range inc.hits1 {
 		if n != 0 {
 			st.K1 = append(st.K1, IncrementalK1{Var: string(k.v), Type: string(k.t), Hits: n})

@@ -166,7 +166,7 @@ func enumerate(rest []core.Variable, pools map[core.Variable][]event.Type, yield
 // many extend to an occurrence. window limits how far past the reference
 // the scan looks (0 = to the end of the sequence).
 func countMatches(sys *granularity.System, a *tag.TAG, seq event.Sequence, refIdx []int, window int64, runs *int) int {
-	n, _, _ := countMatchesExec(nil, sys, a, seq, refIdx, window, runs, engine.ExecCompiled)
+	n, _, _ := countMatchesExec(nil, sys, a, seq, refIdx, window, runs)
 	return n
 }
 
@@ -175,9 +175,8 @@ func countMatches(sys *granularity.System, a *tag.TAG, seq event.Sequence, refId
 // with the matches tallied so far. refsDone reports how many leading
 // references were fully counted (an interrupted reference is NOT counted),
 // so checkpoint/resume can continue the tally at refIdx[refsDone:].
-// mode selects the TAG execution core for every run.
-func countMatchesExec(ex *engine.Exec, sys *granularity.System, a *tag.TAG, seq event.Sequence, refIdx []int, window int64, runs *int, mode engine.ExecMode) (matches, refsDone int, err error) {
-	opt := tag.RunOptions{Anchored: true, Engine: engine.Config{Mode: mode}}
+func countMatchesExec(ex *engine.Exec, sys *granularity.System, a *tag.TAG, seq event.Sequence, refIdx []int, window int64, runs *int) (matches, refsDone int, err error) {
+	opt := tag.RunOptions{Anchored: true}
 	for _, i := range refIdx {
 		sub := seq[i:]
 		if window > 0 {
@@ -282,13 +281,27 @@ func Naive(sys *granularity.System, p Problem, seq event.Sequence) ([]Discovery,
 	return out, stats, nil
 }
 
+// sortDiscoveries orders by frequency, descending, then by the printed
+// assignment, which is computed once per discovery rather than in every
+// comparison. Assignments are distinct, so the order is total.
 func sortDiscoveries(ds []Discovery) {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].Frequency != ds[j].Frequency {
-			return ds[i].Frequency > ds[j].Frequency
+	type keyed struct {
+		key string
+		d   Discovery
+	}
+	ks := make([]keyed, len(ds))
+	for i, d := range ds {
+		ks[i] = keyed{fmt.Sprint(d.Assign), d}
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].d.Frequency != ks[j].d.Frequency {
+			return ks[i].d.Frequency > ks[j].d.Frequency
 		}
-		return fmt.Sprint(ds[i].Assign) < fmt.Sprint(ds[j].Assign)
+		return ks[i].key < ks[j].key
 	})
+	for i := range ks {
+		ds[i] = ks[i].d
+	}
 }
 
 // assignKey canonicalizes an assignment for set comparisons in tests and

@@ -676,11 +676,12 @@ func diffDiscoveries(a, b []mining.Discovery) string {
 	return ""
 }
 
-// checkExecEquiv is the compiled-vs-interpreted equivalence contract: the
-// two TAG execution cores (engine.ExecCompiled, engine.ExecInterp) must
+// checkExecEquiv is the compiled-vs-reference equivalence contract: the
+// compiled TAG core and the interpreted reference (tag.Reference) must
 // agree byte for byte — verdicts, witness bindings, run stats, counter
-// totals, streaming snapshots, and checkpoints restored across modes. It
-// is the soak gate for retiring the interpreter.
+// totals, streaming snapshots, checkpoints restored across the two cores,
+// and anchored verdicts. It is what lets the compiled core be the only
+// production path.
 func checkExecEquiv(in *Instance, sys *granularity.System, stats *CheckStats, add func(string, string, ...any)) {
 	ct, err := in.ComplexType()
 	if err != nil {
@@ -698,9 +699,35 @@ func checkExecEquiv(in *Instance, sys *granularity.System, stats *CheckStats, ad
 	}
 	stats.ran(ContractExecEquiv)
 
-	modes := [2]engine.ExecMode{engine.ExecCompiled, engine.ExecInterp}
-	optFor := func(m engine.ExecMode, obs engine.Observer) tag.RunOptions {
-		return tag.RunOptions{Engine: engine.Config{Mode: m, Observer: obs}}
+	// The two cores, compiled first.
+	type execCore struct {
+		name      string
+		find      func(opt tag.RunOptions) (map[string]int, bool, tag.RunStats)
+		newRunner func(opt tag.RunOptions) *tag.Runner
+		restore   func(opt tag.RunOptions, cp *tag.Checkpoint) (*tag.Runner, error)
+	}
+	cores := [2]execCore{{
+		name: "compiled",
+		find: func(opt tag.RunOptions) (map[string]int, bool, tag.RunStats) {
+			return a.FindOccurrence(sys, in.Seq, opt)
+		},
+		newRunner: func(opt tag.RunOptions) *tag.Runner { return a.NewRunner(sys, opt) },
+		restore: func(opt tag.RunOptions, cp *tag.Checkpoint) (*tag.Runner, error) {
+			return tag.RestoreRunner(a, sys, opt, cp)
+		},
+	}, {
+		name: "interpreted",
+		find: func(opt tag.RunOptions) (map[string]int, bool, tag.RunStats) {
+			w, ok, rs, _ := tag.Reference.Find(a, sys, in.Seq, opt, true)
+			return w, ok, rs
+		},
+		newRunner: func(opt tag.RunOptions) *tag.Runner { return tag.Reference.NewRunner(a, sys, opt) },
+		restore: func(opt tag.RunOptions, cp *tag.Checkpoint) (*tag.Runner, error) {
+			return tag.Reference.RestoreRunner(a, sys, opt, cp)
+		},
+	}}
+	observed := func(obs engine.Observer) tag.RunOptions {
+		return tag.RunOptions{Engine: engine.Config{Observer: obs}}
 	}
 
 	// Batch witness search: verdict, binding, stats and counter totals.
@@ -711,9 +738,9 @@ func checkExecEquiv(in *Instance, sys *granularity.System, stats *CheckStats, ad
 		counts map[string]int64
 	}
 	var batch [2]batchResult
-	for i, m := range modes {
+	for i, c := range cores {
 		cnt := engine.NewCounters()
-		w, ok, rs := a.FindOccurrence(sys, in.Seq, optFor(m, cnt))
+		w, ok, rs := c.find(observed(cnt))
 		batch[i] = batchResult{w: w, ok: ok, rs: rs, counts: cnt.Snapshot()}
 	}
 	if batch[0].ok != batch[1].ok {
@@ -737,18 +764,18 @@ func checkExecEquiv(in *Instance, sys *granularity.System, stats *CheckStats, ad
 	// counter totals at the end.
 	var snaps [2][]byte
 	var streamCounts [2]map[string]int64
-	for i, m := range modes {
+	for i, c := range cores {
 		cnt := engine.NewCounters()
-		r := a.NewRunner(sys, optFor(m, cnt))
+		r := c.newRunner(observed(cnt))
 		for _, e := range in.Seq {
 			if _, ok := r.Feed(e); !ok {
-				add(ContractExecEquiv, "%s runner refused event: %v", m, r.LastReject())
+				add(ContractExecEquiv, "%s runner refused event: %v", c.name, r.LastReject())
 				return
 			}
 		}
 		b, err := snapshotBytes(r)
 		if err != nil {
-			add(ContractExecEquiv, "%s runner snapshot: %v", m, err)
+			add(ContractExecEquiv, "%s runner snapshot: %v", c.name, err)
 			return
 		}
 		snaps[i] = b
@@ -763,34 +790,34 @@ func checkExecEquiv(in *Instance, sys *granularity.System, stats *CheckStats, ad
 		return
 	}
 
-	// Cross-mode restore: a snapshot taken under one core, round-tripped
+	// Cross-core restore: a snapshot taken under one core, round-tripped
 	// through the codec and restored under the other, must finish on the
 	// same final bytes.
 	mid := len(in.Seq) / 2
-	for i, m := range modes {
-		other := modes[1-i]
-		r := a.NewRunner(sys, optFor(m, nil))
+	for i, c := range cores {
+		other := cores[1-i]
+		r := c.newRunner(tag.RunOptions{})
 		for _, e := range in.Seq[:mid] {
 			r.Feed(e)
 		}
 		cp, err := r.Snapshot()
 		if err != nil {
-			add(ContractExecEquiv, "%s mid-stream snapshot: %v", m, err)
+			add(ContractExecEquiv, "%s mid-stream snapshot: %v", c.name, err)
 			return
 		}
 		var buf bytes.Buffer
 		if err := cp.Encode(&buf); err != nil {
-			add(ContractExecEquiv, "encoding %s snapshot: %v", m, err)
+			add(ContractExecEquiv, "encoding %s snapshot: %v", c.name, err)
 			return
 		}
 		dec, err := tag.DecodeCheckpoint(&buf)
 		if err != nil {
-			add(ContractExecEquiv, "decoding %s snapshot: %v", m, err)
+			add(ContractExecEquiv, "decoding %s snapshot: %v", c.name, err)
 			return
 		}
-		r2, err := tag.RestoreRunner(a, sys, optFor(other, nil), dec)
+		r2, err := other.restore(tag.RunOptions{}, dec)
 		if err != nil {
-			add(ContractExecEquiv, "restoring %s snapshot into %s runner: %v", m, other, err)
+			add(ContractExecEquiv, "restoring %s snapshot into %s runner: %v", c.name, other.name, err)
 			return
 		}
 		for _, e := range in.Seq[mid:] {
@@ -798,32 +825,30 @@ func checkExecEquiv(in *Instance, sys *granularity.System, stats *CheckStats, ad
 		}
 		resumed, err := snapshotBytes(r2)
 		if err != nil {
-			add(ContractExecEquiv, "snapshot of %s-resumed run: %v", other, err)
+			add(ContractExecEquiv, "snapshot of %s-resumed run: %v", other.name, err)
 			return
 		}
 		if !bytes.Equal(resumed, snaps[1-i]) {
-			add(ContractExecEquiv, "%s snapshot resumed under %s diverges from the straight %s run", m, other, other)
+			add(ContractExecEquiv, "%s snapshot resumed under %s diverges from the straight %s run", c.name, other.name, other.name)
 			return
 		}
 	}
 
-	// Anchored batch: identical verdicts at every reference slot.
+	// Anchored verdicts at every reference slot: the compiled core through
+	// AcceptsBatch, the reference one anchored run at a time.
 	refIdx := make([]int, len(in.Seq))
 	for i := range refIdx {
 		refIdx[i] = i
 	}
-	var verdicts [2][]bool
-	for i, m := range modes {
-		v, err := a.AcceptsBatch(nil, sys, in.Seq, refIdx, 0, 1, optFor(m, nil))
-		if err != nil {
-			add(ContractExecEquiv, "%s anchored batch: %v", m, err)
-			return
-		}
-		verdicts[i] = v
+	verdicts, err := a.AcceptsBatch(nil, sys, in.Seq, refIdx, 0, 1, tag.RunOptions{})
+	if err != nil {
+		add(ContractExecEquiv, "compiled anchored batch: %v", err)
+		return
 	}
 	for i := range refIdx {
-		if verdicts[0][i] != verdicts[1][i] {
-			add(ContractExecEquiv, "anchored verdicts diverge at reference %d: compiled %v, interpreted %v", i, verdicts[0][i], verdicts[1][i])
+		_, ok, _, _ := tag.Reference.Find(a, sys, in.Seq[i:], tag.RunOptions{Anchored: true}, false)
+		if verdicts[i] != ok {
+			add(ContractExecEquiv, "anchored verdicts diverge at reference %d: compiled %v, interpreted %v", i, verdicts[i], ok)
 			return
 		}
 	}

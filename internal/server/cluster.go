@@ -624,7 +624,7 @@ func (st *jobStore) inject(b *JobBundle, haveSession func(string) bool) (*job, e
 	}
 	st.mu.Unlock()
 
-	if !st.noLog && len(j.req.Events) > 0 {
+	if len(j.req.Events) > 0 {
 		if seq := toSequence(j.req.Events); seq.Validate() == nil {
 			if n, err := st.writeEventLog(rec.ID, seq); err == nil {
 				j.eventsLogged = n

@@ -97,22 +97,23 @@ type jobStore struct {
 	counters       *engine.Counters
 	depth          int
 	defaultWorkers int
-	mode           engine.ExecMode
-	noLog          bool
 	sessionTail    sessionTailFunc
-	jobs           map[string]*job
-	queue          []*job
-	running        int
-	refreshing     bool // a session-attached attempt is running
-	closed         bool
-	nextID         int
+	// logFS is the filesystem job event logs are opened on; nil is the OS
+	// one. Tests substitute a failing one to reach the inline fallback.
+	logFS      store.FS
+	jobs       map[string]*job
+	queue      []*job
+	running    int
+	refreshing bool // a session-attached attempt is running
+	closed     bool
+	nextID     int
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 }
 
-func newJobStore(dir string, sys *granularity.System, counters *engine.Counters, workers, depth, defaultScanWorkers int, mode engine.ExecMode, noLog bool, sessionTail sessionTailFunc) (*jobStore, error) {
+func newJobStore(dir string, sys *granularity.System, counters *engine.Counters, workers, depth, defaultScanWorkers int, sessionTail sessionTailFunc) (*jobStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -123,8 +124,6 @@ func newJobStore(dir string, sys *granularity.System, counters *engine.Counters,
 		counters:       counters,
 		depth:          depth,
 		defaultWorkers: defaultScanWorkers,
-		mode:           mode,
-		noLog:          noLog,
 		sessionTail:    sessionTail,
 		jobs:           make(map[string]*job),
 		nextID:         1,
@@ -172,7 +171,7 @@ func (st *jobStore) submit(req *JobCreateRequest, assignID string) (*job, error)
 
 	// The job is visible for polling but not yet queued: the log and the
 	// record land before a worker can pick it up.
-	if !st.noLog && len(req.Events) > 0 {
+	if len(req.Events) > 0 {
 		if seq := toSequence(req.Events); seq.Validate() == nil {
 			if n, err := st.writeEventLog(id, seq); err == nil {
 				j.eventsLogged = n
@@ -210,6 +209,7 @@ func (st *jobStore) logOptions() store.Options {
 		Grans:           []string{"day"},
 		SegmentMaxBytes: 1 << 20,
 		SyncEvery:       1 << 20,
+		FS:              st.logFS,
 	}
 }
 
@@ -392,7 +392,7 @@ func (st *jobStore) run(j *job) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	opt.Engine = engine.Config{Ctx: ctx, Budget: req.Budget, Observer: st.counters, Mode: st.mode}
+	opt.Engine = engine.Config{Ctx: ctx, Budget: req.Budget, Observer: st.counters}
 
 	var (
 		ds    []mining.Discovery
@@ -409,7 +409,7 @@ func (st *jobStore) run(j *job) {
 	}
 	switch {
 	case err == nil:
-		res, berr := cli.BuildMineResult(st.sys, p, work, ds, stats, p.MinConfidence, req.Explain, st.mode)
+		res, berr := cli.BuildMineResult(st.sys, p, work, ds, stats, p.MinConfidence, req.Explain, engine.ExecCompiled)
 		if berr != nil {
 			st.fail(j, berr)
 			return
@@ -460,7 +460,7 @@ func (st *jobStore) runIncremental(j *job, req JobCreateRequest, resume *mining.
 		st.fail(j, err)
 		return
 	}
-	opt.Engine = engine.Config{Observer: st.counters, Mode: st.mode}
+	opt.Engine = engine.Config{Observer: st.counters}
 
 	from, fromTime := int64(0), int64(0)
 	if resume != nil && resume.Stage == mining.StageIncremental && resume.Incremental != nil {
@@ -512,7 +512,7 @@ func (st *jobStore) runIncremental(j *job, req JobCreateRequest, resume *mining.
 		st.fail(j, err)
 		return
 	}
-	res, err := cli.BuildMineResult(st.sys, p, nil, ds, stats, p.MinConfidence, 0, st.mode)
+	res, err := cli.BuildMineResult(st.sys, p, nil, ds, stats, p.MinConfidence, 0, engine.ExecCompiled)
 	if err != nil {
 		st.fail(j, err)
 		return

@@ -43,15 +43,11 @@ type Config struct {
 	JobQueueDepth int
 	// MaxSessions bounds live streaming sessions (default 1024).
 	MaxSessions int
-	// CheckpointEvery strides session checkpoints: with the event log on,
+	// CheckpointEvery strides session checkpoints: while the event log is up,
 	// a session's JSON record is rewritten every Nth fed event instead of
 	// on every batch (default 8). Recovery replays the log tail past the
 	// last checkpoint, so the two together lose nothing.
 	CheckpointEvery int
-	// NoEventLog disables the durable per-session and per-job event logs
-	// under DataDir, reverting to checkpoint-per-feed persistence and
-	// inline job sequences. Existing logs are absorbed on the next start.
-	NoEventLog bool
 	// ScanWorkers is the default per-job TAG scan fan-out when neither
 	// the request nor the problem spec sets one (default
 	// cli.ResolveWorkers: GOMAXPROCS).
@@ -59,12 +55,6 @@ type Config struct {
 	// RetryAfter is the Retry-After hint on 429/503 responses, in seconds
 	// (default 1).
 	RetryAfter int
-	// Exec selects the TAG execution core for every session and mining
-	// job: engine.ExecCompiled (the default) or engine.ExecInterp, the
-	// pre-compilation interpreter kept for one release as the
-	// differential baseline. Session checkpoints restore across either
-	// setting.
-	Exec engine.ExecMode
 	// System, when non-nil, is the granularity system to use instead of
 	// loading one from Grans — embedders (tests, the differential oracle)
 	// inject synthetic systems this way.
@@ -151,7 +141,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	counters := engine.NewCounters()
-	sessions, err := newSessionStore(filepath.Join(cfg.DataDir, "sessions"), sys, counters, cfg.MaxSessions, cfg.Exec, cfg.CheckpointEvery, cfg.NoEventLog)
+	sessions, err := newSessionStore(filepath.Join(cfg.DataDir, "sessions"), sys, counters, cfg.MaxSessions, cfg.CheckpointEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +149,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := newJobStore(filepath.Join(cfg.DataDir, "jobs"), sys, counters, cfg.JobWorkers, cfg.JobQueueDepth, cfg.ScanWorkers, cfg.Exec, cfg.NoEventLog, sessions.tail)
+	jobs, err := newJobStore(filepath.Join(cfg.DataDir, "jobs"), sys, counters, cfg.JobWorkers, cfg.JobQueueDepth, cfg.ScanWorkers, sessions.tail)
 	if err != nil {
 		return nil, err
 	}

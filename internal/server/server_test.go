@@ -279,7 +279,7 @@ func expectedMineBody(t *testing.T) []byte {
 	if err != nil || cp != nil {
 		t.Fatalf("reference mine: cp=%v err=%v", cp != nil, err)
 	}
-	res, err := cli.BuildMineResult(sys, p, work, ds, stats, p.MinConfidence, 0, opt.Engine.Mode)
+	res, err := cli.BuildMineResult(sys, p, work, ds, stats, p.MinConfidence, 0, engine.ExecCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestJobLifecycle(t *testing.T) {
 func TestJobQueueFull(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	srv.jobs.shutdown()
-	idle, err := newJobStore(t.TempDir(), srv.sys, srv.counters, 0, 1, 0, engine.ExecCompiled, false, nil)
+	idle, err := newJobStore(t.TempDir(), srv.sys, srv.counters, 0, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -928,46 +928,6 @@ func TestJobEventLogLifecycle(t *testing.T) {
 			t.Fatal("terminal job's event log not removed")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestNoEventLogMigration: a daemon restarted with the event log disabled
-// absorbs existing session logs into covering checkpoints and removes them.
-func TestNoEventLogMigration(t *testing.T) {
-	dir := t.TempDir()
-	srv1, err := New(Config{DataDir: dir, CheckpointEvery: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(srv1.Handler())
-	cr := createSession(t, ts1.URL, sessionSpec)
-	t0 := event.At(1996, 7, 1, 9, 0, 0)
-	readBody(t, post(t, ts1.URL+"/v1/tag/sessions/"+cr.ID+"/events",
-		eventsBody(EventItem{Time: t0, Type: "a"}, EventItem{Time: t0 + 60, Type: "b"})))
-	before := readBody(t, get(t, ts1.URL+"/v1/tag/sessions/"+cr.ID))
-	ts1.Close()
-	srv1.jobs.shutdown()
-
-	srv2, err := New(Config{DataDir: dir, NoEventLog: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	defer srv2.jobs.shutdown()
-	after := readBody(t, get(t, ts2.URL+"/v1/tag/sessions/"+cr.ID))
-	if !bytes.Equal(before, after) {
-		t.Fatalf("migrated session differs:\nbefore:\n%s\nafter:\n%s", before, after)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "sessions", cr.ID+".events")); !os.IsNotExist(err) {
-		t.Fatalf("event log survived NoEventLog migration: %v", err)
-	}
-	var rec sessionRecord
-	if err := json.Unmarshal(mustReadFile(t, filepath.Join(dir, "sessions", cr.ID+".json")), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Events != 2 {
-		t.Fatalf("migrated checkpoint covers %d events, want 2", rec.Events)
 	}
 }
 

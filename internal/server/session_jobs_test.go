@@ -88,7 +88,7 @@ func expectedSessionJobBody(t *testing.T, srv *Server, seq event.Sequence) []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Engine = engine.Config{Mode: engine.ExecCompiled}
+	opt.Engine = engine.Config{}
 	ds, stats, err := mining.Optimized(srv.sys, p, seq, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +324,7 @@ func TestSessionJobValidation(t *testing.T) {
 // persists of one job must all succeed (they share the record's temporary
 // file) and leave the record at the job's latest state.
 func TestJobPersistConcurrent(t *testing.T) {
-	st, err := newJobStore(t.TempDir(), granularity.Default(), engine.NewCounters(), 0, 1, 0, engine.ExecCompiled, true, nil)
+	st, err := newJobStore(t.TempDir(), granularity.Default(), engine.NewCounters(), 0, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestAttachedAttemptsSerialised(t *testing.T) {
 		active.Add(-1)
 		return nil, 0, nil
 	}
-	st, err := newJobStore(t.TempDir(), granularity.Default(), engine.NewCounters(), 2, 8, 0, engine.ExecCompiled, true, tail)
+	st, err := newJobStore(t.TempDir(), granularity.Default(), engine.NewCounters(), 2, 8, 0, tail)
 	if err != nil {
 		t.Fatal(err)
 	}

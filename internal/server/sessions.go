@@ -87,14 +87,12 @@ type sessionStore struct {
 	sys       *granularity.System
 	counters  *engine.Counters
 	max       int
-	mode      engine.ExecMode
 	ckptEvery int
-	noLog     bool
 	sessions  map[string]*session
 	nextID    int
 }
 
-func newSessionStore(dir string, sys *granularity.System, counters *engine.Counters, max int, mode engine.ExecMode, ckptEvery int, noLog bool) (*sessionStore, error) {
+func newSessionStore(dir string, sys *granularity.System, counters *engine.Counters, max int, ckptEvery int) (*sessionStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -106,9 +104,7 @@ func newSessionStore(dir string, sys *granularity.System, counters *engine.Count
 		sys:       sys,
 		counters:  counters,
 		max:       max,
-		mode:      mode,
 		ckptEvery: ckptEvery,
-		noLog:     noLog,
 		sessions:  make(map[string]*session),
 		nextID:    1,
 	}, nil
@@ -144,7 +140,7 @@ func (st *sessionStore) runOptions(strict bool, maxFrontier int, budget int64) t
 	return tag.RunOptions{
 		Strict:      strict,
 		MaxFrontier: maxFrontier,
-		Engine:      engine.Config{Budget: budget, Observer: st.counters, Mode: st.mode},
+		Engine:      engine.Config{Budget: budget, Observer: st.counters},
 	}
 }
 
@@ -185,15 +181,12 @@ func (st *sessionStore) create(req *SessionCreateRequest, ct *core.ComplexType, 
 	st.sessions[id] = s
 	st.mu.Unlock()
 
-	if !st.noLog {
-		lg, _, err := store.Open(st.logDir(id), st.logOptions())
-		if err != nil {
-			// No log is a robustness downgrade, not a failure: the session
-			// falls back to checkpoint-per-feed persistence.
-			st.counters.Count("server.sessions.log_degraded", 1)
-		} else {
-			s.log = lg
-		}
+	if lg, _, err := store.Open(st.logDir(id), st.logOptions()); err != nil {
+		// No log is a robustness downgrade, not a failure: the session
+		// falls back to checkpoint-per-feed persistence.
+		st.counters.Count("server.sessions.log_degraded", 1)
+	} else {
+		s.log = lg
 	}
 	if err := st.persist(s); err != nil {
 		st.mu.Lock()
@@ -532,33 +525,15 @@ func (st *sessionStore) restoreOne(name string, logger *log.Logger) (store.Recov
 // the session: it is set aside as <id>.events.damaged and a fresh log
 // starts at the current event count — the checkpoint itself is intact, so
 // nothing acknowledged is lost, only unreplayable tail evidence moves
-// aside. With logging disabled, a leftover log is replayed once into a
-// covering checkpoint and then removed.
+// aside. Something other than a directory at the log path means the
+// session never had a log: it ran degraded, persisting a checkpoint per
+// feed, so it resumes from that checkpoint alone, still degraded.
 func (st *sessionStore) attachAndReplay(s *session, logger *log.Logger) (store.Recovery, int64, error) {
 	dir := st.logDir(s.id)
-	if st.noLog {
-		if _, err := os.Stat(dir); err != nil {
-			return store.Recovery{}, 0, nil
-		}
-		lg, rec, err := store.Open(dir, st.logOptions())
-		if err != nil {
-			return store.Recovery{}, 0, err
-		}
-		replayed, rerr := st.replay(s, lg)
-		lg.Close()
-		if rerr != nil {
-			return rec, replayed, rerr
-		}
-		// The checkpoint must cover the replayed events before the log —
-		// their only other durable copy — is dropped.
-		if err := st.persist(s); err != nil {
-			return rec, replayed, err
-		}
-		s.logStart = 0
-		os.RemoveAll(dir)
-		return rec, replayed, nil
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		st.counters.Count("server.sessions.log_degraded", 1)
+		return store.Recovery{}, 0, nil
 	}
-
 	lg, rec, err := store.Open(dir, st.logOptions())
 	if err != nil {
 		return store.Recovery{}, 0, err

@@ -17,10 +17,10 @@ const CheckpointVersion = 1
 
 // ExecSchemaVersion identifies the execution-state schema this build writes
 // and reads: the meaning of the frontier encoding plus the
-// conversion-table layout the fingerprint digests. It is deliberately
-// independent of engine.ExecMode — compiled and interpreted runners share
-// one schema, which is what makes cross-mode restores legal — and bumps
-// only when the encoded execution state itself changes meaning.
+// conversion-table layout the fingerprint digests. The compiled core and
+// the reference interpreter share one schema, which is what makes restores
+// across them legal; it bumps only when the encoded execution state itself
+// changes meaning.
 const ExecSchemaVersion = 1
 
 // SchemaMismatchError reports a checkpoint whose execution-state schema
@@ -157,13 +157,13 @@ func (r *Runner) Snapshot() (Checkpoint, error) {
 		Strict:      r.opt.Strict,
 		Steps:       r.steps,
 		PrevTime:    r.prevTime,
-		CurOK:       append([]bool(nil), r.curOK...),
+		CurOK:       append([]bool(nil), r.runs.covered()...),
 		Accepted:    r.accepted,
 		Binding:     copyBinding(r.binding),
 		MaxFrontier: r.maxFront,
 		Degraded:    r.degraded,
 	}
-	cp.Frontier = r.snapshotFrontier()
+	cp.Frontier = r.runs.snapshot()
 	return cp, nil
 }
 
@@ -174,34 +174,39 @@ func (r *Runner) Snapshot() (Checkpoint, error) {
 // Feeding the events the snapshot had not yet consumed continues the run
 // exactly where it left off.
 func RestoreRunner(a *TAG, sys *granularity.System, opt RunOptions, cp *Checkpoint) (*Runner, error) {
+	return restoreRunner(a.NewRunner(sys, opt), cp)
+}
+
+// restoreRunner checks cp against the fresh runner r's automaton, system
+// and options and loads it into r.
+func restoreRunner(r *Runner, cp *Checkpoint) (*Runner, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("tag: nil checkpoint")
 	}
 	if cp.ExecSchema != ExecSchemaVersion {
 		return nil, &SchemaMismatchError{Got: cp.ExecSchema, Want: ExecSchemaVersion}
 	}
-	if err := cp.validate(a); err != nil {
+	if err := cp.validate(r.a); err != nil {
 		return nil, err
 	}
-	if got := a.Fingerprint(sys); got != cp.Fingerprint {
+	if got := r.a.Fingerprint(r.sys); got != cp.Fingerprint {
 		return nil, fmt.Errorf("tag: checkpoint fingerprint %.12s... does not match automaton/system %.12s...", cp.Fingerprint, got)
 	}
-	if opt.Anchored != cp.Anchored || opt.Strict != cp.Strict {
+	if r.opt.Anchored != cp.Anchored || r.opt.Strict != cp.Strict {
 		return nil, fmt.Errorf("tag: checkpoint taken under anchored=%v strict=%v, restore requested anchored=%v strict=%v",
-			cp.Anchored, cp.Strict, opt.Anchored, opt.Strict)
+			cp.Anchored, cp.Strict, r.opt.Anchored, r.opt.Strict)
 	}
-	r := a.NewRunner(sys, opt)
 	r.steps = cp.Steps
 	r.prevTime = cp.PrevTime
-	copy(r.curOK, cp.CurOK)
+	copy(r.runs.covered(), cp.CurOK)
 	r.accepted = cp.Accepted
 	r.binding = copyBinding(cp.Binding)
 	r.maxFront = cp.MaxFrontier
 	r.degraded = cp.Degraded
-	// NewRunner seeded the initial frontier; replace it with the snapshot's
-	// (at Steps == 0 they coincide). The snapshot may come from either
-	// execution mode — the wire format is mode-independent.
-	if err := r.loadFrontier(cp.Frontier); err != nil {
+	// The runner was seeded with the initial frontier; replace it with the
+	// snapshot's (at Steps == 0 they coincide). The snapshot may come from
+	// either core — the wire format is shared.
+	if err := r.runs.load(cp.Frontier); err != nil {
 		return nil, err
 	}
 	return r, nil

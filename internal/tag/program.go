@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/granularity"
 )
@@ -17,11 +16,11 @@ import (
 // ids, CSR transition tables, fixed clock slots, interned symbols and
 // variable ids) and the NDFA frontier is simulated over reusable flat
 // buffers with an open-addressing dedup table — no per-step maps, closures
-// or key strings. The interpreted path (runInterp, feedInterp) remains
-// available behind engine.Config.Mode for one release as the differential
-// baseline; both paths are required to agree byte-for-byte on verdicts,
-// witness bindings, stats, counter totals and checkpoints (see
-// internal/oracle's exec-equivalence contract).
+// or key strings. It is the only production core. The interpreter it
+// replaced survives as the test reference (Reference, reference.go); the
+// two must agree byte-for-byte on verdicts, witness bindings, stats,
+// counter totals and checkpoints (see internal/oracle's exec-equivalence
+// contract).
 //
 // One deliberate divergence: the compiled path resolves each clock's
 // granularity (and its conversion table) once per run, while the
@@ -375,9 +374,13 @@ func (f *flatReader) doomedRead(c Clock) (int64, bool) {
 	return f.curCover[ci] - f.vals[f.base+ci], true
 }
 
-// progScratch holds every buffer one simulation needs; batch runs pool it,
-// a Runner owns one for its lifetime.
+// progScratch is the compiled core's frontier: every buffer one simulation
+// needs. Batch runs pool it, a Runner owns one for its lifetime. W is the
+// witness width (the number of tracked variables; 0 when the caller only
+// wants a verdict).
 type progScratch struct {
+	p        *program
+	W        int
 	cur, nxt runsBuf
 	curCover []int64
 	curOK    []bool
@@ -390,27 +393,35 @@ type progScratch struct {
 	doomedFn func(Clock) (int64, bool)
 }
 
-// newScratch builds a zeroed scratch with tick functions resolved from sys
+// newScratch builds a scratch holding the seeded start frontier, tracking
+// every variable's binding, with tick functions resolved from sys
 // (conversion-table lookups when the system has a table for the clock's
 // granularity, the direct implementation otherwise; nil for granularities
 // the system does not know — those clocks read as permanently uncovered,
 // like the interpreter's per-event registry miss).
 func (p *program) newScratch(sys *granularity.System) *progScratch {
 	s := &progScratch{}
-	p.initScratch(s, sys)
+	p.initScratch(s, sys, len(p.vars))
 	return s
 }
 
-func (p *program) getScratch(sys *granularity.System) *progScratch {
+// getScratch is newScratch from the program's pool, tracking bindings only
+// when the caller wants a witness.
+func (p *program) getScratch(sys *granularity.System, witness bool) *progScratch {
 	s, _ := p.pool.Get().(*progScratch)
 	if s == nil {
 		s = &progScratch{}
 	}
-	p.initScratch(s, sys)
+	W := 0
+	if witness {
+		W = len(p.vars)
+	}
+	p.initScratch(s, sys, W)
 	return s
 }
 
-func (p *program) initScratch(s *progScratch, sys *granularity.System) {
+func (p *program) initScratch(s *progScratch, sys *granularity.System, W int) {
+	s.p, s.W = p, W
 	C := p.nClocks
 	if cap(s.curCover) < C {
 		s.curCover = make([]int64, C)
@@ -439,7 +450,7 @@ func (p *program) initScratch(s *progScratch, sys *granularity.System) {
 	if s.table == nil {
 		s.table = make([]int32, 64)
 	}
-	s.cur.reset()
+	s.cur.seed(p, C, W)
 	s.nxt.reset()
 	s.bestBind = s.bestBind[:0]
 	s.gr = flatReader{idx: p.clockIdx, curCover: s.curCover, curOK: s.curOK}
@@ -675,145 +686,16 @@ func (p *program) doomed(s *progScratch, b *runsBuf, state int32, base int) bool
 	return true
 }
 
-// runCompiled is the compiled batch simulation; it mirrors runInterp step
-// for step (budget spend, counter totals, stats, verdicts, witnesses).
-func (a *TAG) runCompiled(ex *engine.Exec, sys *granularity.System, seq event.Sequence, opt RunOptions, witness bool) (map[string]int, bool, RunStats, error) {
-	stats := RunStats{AcceptedAt: -1}
-	p := a.program()
-	for _, st := range p.starts {
-		if p.accept[st] {
-			stats.AcceptedAt = 0
-			return map[string]int{}, true, stats, nil
-		}
-	}
-	s := p.getScratch(sys)
-	defer p.pool.Put(s)
-	C := p.nClocks
-	W := 0
-	if witness {
-		W = len(p.vars)
-	}
-	s.cur.seed(p, C, W)
+func (s *progScratch) size() int       { return s.cur.n }
+func (s *progScratch) clear()          { s.cur.reset() }
+func (s *progScratch) covered() []bool { return s.curOK }
+
+// step is the compiled TAG step, shared by the batch simulation and the
+// Runner; it mirrors the reference interpreter's step exactly (verdicts,
+// witnesses, dedup winners and counts).
+func (s *progScratch) step(e event.Event, idx int, anchored, strict bool) stepOut {
+	p, C, W := s.p, s.p.nClocks, s.W
 	cur, nxt := &s.cur, &s.nxt
-
-	var events, alive, deduped, killed int64
-	flush := func() {
-		ex.Count("tag.events", events)
-		ex.Count("tag.runs.alive", alive)
-		ex.Count("tag.runs.deduped", deduped)
-		ex.Count("tag.runs.killed", killed)
-		events, alive, deduped, killed = 0, 0, 0, 0
-	}
-	for idx := 0; idx < len(seq); idx++ {
-		e := seq[idx]
-		if err := ex.Step(1 + int64(cur.n)); err != nil {
-			flush()
-			return nil, false, stats, err
-		}
-		events++
-		alive += int64(cur.n)
-		stats.Steps++
-		copy(s.prevOK, s.curOK)
-		for ci := 0; ci < C; ci++ {
-			if s.ticks[ci] == nil {
-				s.curOK[ci] = false
-				continue
-			}
-			s.curCover[ci], s.curOK[ci] = s.ticks[ci](e.Time)
-		}
-		if idx == 0 {
-			for r := 0; r < cur.n; r++ {
-				base := r * C
-				copy(cur.vals[base:base+C], s.curCover)
-				for ci := 0; ci < C; ci++ {
-					cur.invalid[base+ci] = !s.curOK[ci]
-				}
-			}
-		} else if opt.Strict {
-			for ci := 0; ci < C; ci++ {
-				if !s.curOK[ci] || !s.prevOK[ci] {
-					cur.reset()
-					break
-				}
-			}
-		}
-		esym, known := p.syms[e.Type]
-		if !known {
-			esym = symNone
-		}
-		nxt.reset()
-		s.clearTable()
-		accepted := false
-		for r := 0; r < cur.n; r++ {
-			st := cur.states[r]
-			curBase := r * C
-			for ti := p.transLo[st]; ti < p.transLo[st+1]; ti++ {
-				if sym := p.tSym[ti]; sym != symAny && sym != esym {
-					continue
-				}
-				if opt.Anchored && idx == 0 && p.tSym[ti] == symAny && p.tSelf[ti] {
-					continue
-				}
-				if !p.guardEval(&p.tGuard[ti], s, cur, curBase) {
-					continue
-				}
-				row := nxt.pushFrom(cur, r, C, W)
-				rowBase := row * C
-				to := p.tTo[ti]
-				nxt.states[row] = to
-				if W > 0 && p.tBinds[ti] >= 0 {
-					nxt.bind[row*W+int(p.tBinds[ti])] = int32(idx)
-				}
-				for ri := p.resetLo[ti]; ri < p.resetLo[ti+1]; ri++ {
-					ci := int(p.resets[ri])
-					nxt.vals[rowBase+ci] = s.curCover[ci]
-					nxt.invalid[rowBase+ci] = !s.curOK[ci]
-				}
-				if p.accept[to] {
-					nb := nxt.bindRow(row, W)
-					if !accepted || p.cmpBindRows(nb, s.bestBind) < 0 {
-						s.bestBind = append(s.bestBind[:0], nb...)
-					}
-					accepted = true
-					nxt.pop(C, W)
-					continue
-				}
-				if p.doomed(s, nxt, to, rowBase) {
-					killed++
-					nxt.pop(C, W)
-					continue
-				}
-				s.dedupInsert(p, nxt, row, C, W, &deduped)
-			}
-		}
-		if accepted {
-			stats.AcceptedAt = idx
-			if nxt.n > stats.MaxFrontier {
-				stats.MaxFrontier = nxt.n
-			}
-			flush()
-			return p.bindMap(s.bestBind), true, stats, nil
-		}
-		cur, nxt = nxt, cur
-		if cur.n > stats.MaxFrontier {
-			stats.MaxFrontier = cur.n
-		}
-		if opt.MaxFrontier > 0 && cur.n > opt.MaxFrontier {
-			break
-		}
-		if cur.n == 0 {
-			break
-		}
-	}
-	flush()
-	return nil, false, stats, nil
-}
-
-// feedCompiled is the compiled Runner step; Feed's prologue (acceptance,
-// seals, ordering, budget, the per-event counters) has already run.
-func (r *Runner) feedCompiled(e event.Event, idx int) (bool, bool) {
-	p, s := r.p, r.ps
-	C, W := p.nClocks, len(p.vars)
 	copy(s.prevOK, s.curOK)
 	for ci := 0; ci < C; ci++ {
 		if s.ticks[ci] == nil {
@@ -823,91 +705,77 @@ func (r *Runner) feedCompiled(e event.Event, idx int) (bool, bool) {
 		s.curCover[ci], s.curOK[ci] = s.ticks[ci](e.Time)
 	}
 	if idx == 0 {
-		for row := 0; row < s.cur.n; row++ {
-			base := row * C
-			copy(s.cur.vals[base:base+C], s.curCover)
+		for r := 0; r < cur.n; r++ {
+			base := r * C
+			copy(cur.vals[base:base+C], s.curCover)
 			for ci := 0; ci < C; ci++ {
-				s.cur.invalid[base+ci] = !s.curOK[ci]
+				cur.invalid[base+ci] = !s.curOK[ci]
 			}
 		}
-	} else if r.opt.Strict {
+	} else if strict {
 		for ci := 0; ci < C; ci++ {
 			if !s.curOK[ci] || !s.prevOK[ci] {
-				s.cur.reset()
+				cur.reset()
 				break
 			}
 		}
 	}
-	r.prevTime = e.Time
-
 	esym, known := p.syms[e.Type]
 	if !known {
 		esym = symNone
 	}
-	s.nxt.reset()
+	nxt.reset()
 	s.clearTable()
-	var deduped int64
-	accepted := false
-	for row := 0; row < s.cur.n; row++ {
-		st := s.cur.states[row]
-		curBase := row * C
+	var out stepOut
+	for r := 0; r < cur.n; r++ {
+		st := cur.states[r]
+		curBase := r * C
 		for ti := p.transLo[st]; ti < p.transLo[st+1]; ti++ {
 			if sym := p.tSym[ti]; sym != symAny && sym != esym {
 				continue
 			}
-			if r.opt.Anchored && idx == 0 && p.tSym[ti] == symAny && p.tSelf[ti] {
+			if anchored && idx == 0 && p.tSym[ti] == symAny && p.tSelf[ti] {
 				continue
 			}
-			if !p.guardEval(&p.tGuard[ti], s, &s.cur, curBase) {
+			if !p.guardEval(&p.tGuard[ti], s, cur, curBase) {
 				continue
 			}
-			nrow := s.nxt.pushFrom(&s.cur, row, C, W)
-			rowBase := nrow * C
+			row := nxt.pushFrom(cur, r, C, W)
+			rowBase := row * C
 			to := p.tTo[ti]
-			s.nxt.states[nrow] = to
+			nxt.states[row] = to
 			if W > 0 && p.tBinds[ti] >= 0 {
-				s.nxt.bind[nrow*W+int(p.tBinds[ti])] = int32(idx)
+				nxt.bind[row*W+int(p.tBinds[ti])] = int32(idx)
 			}
 			for ri := p.resetLo[ti]; ri < p.resetLo[ti+1]; ri++ {
 				ci := int(p.resets[ri])
-				s.nxt.vals[rowBase+ci] = s.curCover[ci]
-				s.nxt.invalid[rowBase+ci] = !s.curOK[ci]
+				nxt.vals[rowBase+ci] = s.curCover[ci]
+				nxt.invalid[rowBase+ci] = !s.curOK[ci]
 			}
 			if p.accept[to] {
-				nb := s.nxt.bindRow(nrow, W)
-				if !accepted || p.cmpBindRows(nb, s.bestBind) < 0 {
+				nb := nxt.bindRow(row, W)
+				if !out.accepted || p.cmpBindRows(nb, s.bestBind) < 0 {
 					s.bestBind = append(s.bestBind[:0], nb...)
 				}
-				accepted = true
-				s.nxt.pop(C, W)
+				out.accepted = true
+				nxt.pop(C, W)
 				continue
 			}
-			if p.doomed(s, &s.nxt, to, rowBase) {
-				r.ex.Count("tag.runs.killed", 1)
-				s.nxt.pop(C, W)
+			if p.doomed(s, nxt, to, rowBase) {
+				out.killed++
+				nxt.pop(C, W)
 				continue
 			}
-			s.dedupInsert(p, &s.nxt, nrow, C, W, &deduped)
+			s.dedupInsert(p, nxt, row, C, W, &out.deduped)
 		}
 	}
-	if deduped > 0 {
-		r.ex.Count("tag.runs.deduped", deduped)
+	out.front = nxt.n
+	if out.accepted {
+		out.bind = p.bindMap(s.bestBind)
+	} else {
+		s.cur, s.nxt = s.nxt, s.cur
 	}
-	if accepted {
-		r.accepted = true
-		r.binding = p.bindMap(s.bestBind)
-		return true, true
-	}
-	s.cur, s.nxt = s.nxt, s.cur
-	if s.cur.n > r.maxFront {
-		r.maxFront = s.cur.n
-	}
-	if r.opt.MaxFrontier > 0 && s.cur.n > r.opt.MaxFrontier {
-		s.cur.reset()
-		r.degraded = true
-		r.ex.Count("tag.frontier.overflows", 1)
-	}
-	return false, true
+	return out
 }
 
 // keyOfRow regenerates runState.key() for a compiled row (cold path:
@@ -926,29 +794,10 @@ func (p *program) keyOfRow(b *runsBuf, row int) string {
 	return sb.String()
 }
 
-// snapshotFrontier materializes the frontier as checkpoint runs sorted by
-// dedup key — identical bytes for identical runner states, in either mode.
-func (r *Runner) snapshotFrontier() []CheckpointRun {
-	if r.mode.Interpreted() {
-		keys := make([]string, 0, len(r.frontier))
-		for k := range r.frontier {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		runs := make([]CheckpointRun, 0, len(r.frontier))
-		for _, k := range keys {
-			rs := r.frontier[k]
-			runs = append(runs, CheckpointRun{
-				State:   rs.state,
-				Vals:    append([]int64(nil), rs.vals...),
-				Invalid: append([]bool(nil), rs.invalid...),
-				Binding: copyBinding(rs.binding),
-			})
-		}
-		return runs
-	}
-	p, s := r.p, r.ps
-	C, W := p.nClocks, len(p.vars)
+// snapshot materializes the frontier as checkpoint runs sorted by dedup
+// key — the same bytes the reference interpreter writes for the same state.
+func (s *progScratch) snapshot() []CheckpointRun {
+	p, C, W := s.p, s.p.nClocks, s.W
 	type keyed struct {
 		key string
 		row int
@@ -971,26 +820,10 @@ func (r *Runner) snapshotFrontier() []CheckpointRun {
 	return runs
 }
 
-// loadFrontier replaces the runner's frontier with checkpoint runs (the
-// snapshot may have been taken in either execution mode; the formats are
-// identical, so interpreter snapshots restore into the compiled runner and
-// vice versa).
-func (r *Runner) loadFrontier(runs []CheckpointRun) error {
-	if r.mode.Interpreted() {
-		r.frontier = make(map[string]runState, len(runs))
-		for _, cr := range runs {
-			rs := runState{
-				state:   cr.State,
-				vals:    append([]int64(nil), cr.Vals...),
-				invalid: append([]bool(nil), cr.Invalid...),
-				binding: copyBinding(cr.Binding),
-			}
-			r.frontier[rs.key()] = rs
-		}
-		return nil
-	}
-	p, s := r.p, r.ps
-	W := len(p.vars)
+// load replaces the frontier with checkpoint runs, which may have been
+// written by either core (the formats are identical).
+func (s *progScratch) load(runs []CheckpointRun) error {
+	p, W := s.p, s.W
 	s.cur.reset()
 	for _, cr := range runs {
 		row := s.cur.n

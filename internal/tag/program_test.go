@@ -8,19 +8,41 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/event"
 )
 
-// execModes are the two cores every equivalence test runs.
-var execModes = [2]engine.ExecMode{engine.ExecCompiled, engine.ExecInterp}
-
-func modeOpt(m engine.ExecMode) RunOptions {
-	return RunOptions{Engine: engine.Config{Mode: m}}
+// execCore is one TAG execution core as the equivalence tests drive it
+// (default run options): the compiled production core or the interpreted
+// reference.
+type execCore struct {
+	name    string
+	find    func(a *TAG, seq event.Sequence) (map[string]int, bool, RunStats)
+	runner  func(a *TAG) *Runner
+	restore func(a *TAG, cp *Checkpoint) (*Runner, error)
 }
 
-// TestExecModesEquivalentFuzz: the compiled program and the interpreter
-// agree on verdict, witness, stats and final runner snapshot over random
+// execCores are the two cores every equivalence test runs, compiled first.
+var execCores = [2]execCore{{
+	name: "compiled",
+	find: func(a *TAG, seq event.Sequence) (map[string]int, bool, RunStats) {
+		return a.FindOccurrence(sys, seq, RunOptions{})
+	},
+	runner:  func(a *TAG) *Runner { return a.NewRunner(sys, RunOptions{}) },
+	restore: func(a *TAG, cp *Checkpoint) (*Runner, error) { return RestoreRunner(a, sys, RunOptions{}, cp) },
+}, {
+	name: "interpreted",
+	find: func(a *TAG, seq event.Sequence) (map[string]int, bool, RunStats) {
+		w, ok, rs, _ := Reference.Find(a, sys, seq, RunOptions{}, true)
+		return w, ok, rs
+	},
+	runner: func(a *TAG) *Runner { return Reference.NewRunner(a, sys, RunOptions{}) },
+	restore: func(a *TAG, cp *Checkpoint) (*Runner, error) {
+		return Reference.RestoreRunner(a, sys, RunOptions{}, cp)
+	},
+}}
+
+// TestExecModesEquivalentFuzz: the compiled program and the interpreted
+// reference agree on verdict, witness, stats and final runner snapshot over random
 // sequences (the committed in-package slice of the oracle's exec-equiv
 // contract).
 func TestExecModesEquivalentFuzz(t *testing.T) {
@@ -36,8 +58,8 @@ func TestExecModesEquivalentFuzz(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		seq := randomSeq(rng, types, 12, event.At(1996, 4, 1, 0, 0, 0), 20*86400)
 
-		wC, okC, rsC := a.FindOccurrence(sys, seq, modeOpt(engine.ExecCompiled))
-		wI, okI, rsI := a.FindOccurrence(sys, seq, modeOpt(engine.ExecInterp))
+		wC, okC, rsC := execCores[0].find(a, seq)
+		wI, okI, rsI := execCores[1].find(a, seq)
 		if okC != okI || rsC != rsI {
 			t.Fatalf("trial %d: compiled (%v,%+v) vs interpreted (%v,%+v)", trial, okC, rsC, okI, rsI)
 		}
@@ -51,14 +73,14 @@ func TestExecModesEquivalentFuzz(t *testing.T) {
 		}
 
 		var snaps [2][]byte
-		for i, m := range execModes {
-			r := a.NewRunner(sys, modeOpt(m))
+		for i, c := range execCores {
+			r := c.runner(a)
 			for _, e := range seq {
 				r.Feed(e)
 			}
 			cp, err := r.Snapshot()
 			if err != nil {
-				t.Fatalf("trial %d: %s snapshot: %v", trial, m, err)
+				t.Fatalf("trial %d: %s snapshot: %v", trial, c.name, err)
 			}
 			var buf bytes.Buffer
 			if err := cp.Encode(&buf); err != nil {
@@ -100,10 +122,10 @@ func TestCompiledBindingTieBreakQuirk(t *testing.T) {
 	}
 	seq = append(seq, event.Event{Type: "b", Time: base + 13})
 
-	for _, m := range execModes {
-		w, ok, _ := a.FindOccurrence(sys, seq, modeOpt(m))
+	for _, c := range execCores {
+		w, ok, _ := c.find(a, seq)
 		if !ok || w["a"] != 12 {
-			t.Fatalf("%s: witness %v ok=%v, want a=12 (string-order winner)", m, w, ok)
+			t.Fatalf("%s: witness %v ok=%v, want a=12 (string-order winner)", c.name, w, ok)
 		}
 	}
 }
@@ -174,8 +196,8 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 	seq := fig1aScenario()
 	mid := len(seq) / 2
 
-	finalSnap := func(m engine.ExecMode) []byte {
-		r := a.NewRunner(sys, modeOpt(m))
+	finalSnap := func(c execCore) []byte {
+		r := c.runner(a)
 		for _, e := range seq {
 			r.Feed(e)
 		}
@@ -190,9 +212,9 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	for i, from := range execModes {
-		to := execModes[1-i]
-		r := a.NewRunner(sys, modeOpt(from))
+	for i, from := range execCores {
+		to := execCores[1-i]
+		r := from.runner(a)
 		for _, e := range seq[:mid] {
 			r.Feed(e)
 		}
@@ -208,9 +230,9 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := RestoreRunner(a, sys, modeOpt(to), dec)
+		r2, err := to.restore(a, dec)
 		if err != nil {
-			t.Fatalf("restoring %s snapshot into %s runner: %v", from, to, err)
+			t.Fatalf("restoring %s snapshot into %s runner: %v", from.name, to.name, err)
 		}
 		for _, e := range seq[mid:] {
 			r2.Feed(e)
@@ -224,7 +246,7 @@ func TestCrossModeCheckpointRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf2.Bytes(), finalSnap(to)) {
-			t.Fatalf("%s snapshot resumed under %s diverges from a straight %s run", from, to, to)
+			t.Fatalf("%s snapshot resumed under %s diverges from a straight %s run", from.name, to.name, to.name)
 		}
 	}
 }

@@ -56,17 +56,7 @@ type Runner struct {
 	a        *TAG
 	sys      *granularity.System
 	opt      RunOptions
-	mode     engine.ExecMode
-	frontier map[string]runState
-	// p/ps hold the compiled core's program and flat frontier when mode is
-	// ExecCompiled; curCover/curOK/prevOK then alias ps's arrays so both
-	// modes share the accessor and checkpoint plumbing.
-	p        *program
-	ps       *progScratch
-	curCover []int64
-	curOK    []bool
-	prevOK   []bool
-	progress [][]Transition
+	runs     frontier
 	steps    int
 	accepted bool
 	binding  map[string]int
@@ -78,63 +68,18 @@ type Runner struct {
 	degraded bool
 }
 
-// NewRunner starts an online simulation using the execution core selected
-// by opt.Engine.Mode.
+// NewRunner starts an online simulation on the compiled core.
 func (a *TAG) NewRunner(sys *granularity.System, opt RunOptions) *Runner {
-	r := &Runner{
-		a:    a,
-		sys:  sys,
-		opt:  opt,
-		mode: opt.Engine.Mode,
-		ex:   opt.Engine.Start(),
-	}
-	if r.mode.Interpreted() {
-		r.frontier = make(map[string]runState)
-		r.curCover = make([]int64, len(a.clocks))
-		r.curOK = make([]bool, len(a.clocks))
-		r.prevOK = make([]bool, len(a.clocks))
-		r.progress = make([][]Transition, len(a.trans))
-		for s, ts := range a.trans {
-			for _, t := range ts {
-				if t.To != t.From {
-					r.progress[s] = append(r.progress[s], t)
-				}
-			}
-		}
-		for _, s := range a.starts {
-			if a.accept[s] {
-				r.accepted = true
-				r.binding = map[string]int{}
-				continue
-			}
-			rs := runState{
-				state:   s,
-				vals:    make([]int64, len(a.clocks)),
-				invalid: make([]bool, len(a.clocks)),
-			}
-			r.frontier[rs.key()] = rs
-		}
-		return r
-	}
-	r.p = a.program()
-	r.ps = r.p.newScratch(sys)
-	r.curCover, r.curOK, r.prevOK = r.ps.curCover, r.ps.curOK, r.ps.prevOK
-	for _, s := range r.p.starts {
-		if r.p.accept[s] {
-			r.accepted = true
-			r.binding = map[string]int{}
-		}
-	}
-	r.ps.cur.seed(r.p, r.p.nClocks, len(r.p.vars))
-	return r
+	return a.newRunner(sys, opt, a.program().newScratch(sys))
 }
 
-// frontierLen returns the current deduplicated run count in either mode.
-func (r *Runner) frontierLen() int {
-	if r.mode.Interpreted() {
-		return len(r.frontier)
+func (a *TAG) newRunner(sys *granularity.System, opt RunOptions, c frontier) *Runner {
+	r := &Runner{a: a, sys: sys, opt: opt, runs: c, ex: opt.Engine.Start()}
+	if a.startAccepts() {
+		r.accepted = true
+		r.binding = map[string]int{}
 	}
-	return r.ps.cur.n
+	return r
 }
 
 // Accepted reports whether an accepting run has been reached.
@@ -188,7 +133,7 @@ func (r *Runner) Feed(e event.Event) (accepted, ok bool) {
 		r.ex.Count("tag.events.rejected", 1)
 		return false, false
 	}
-	if err := r.ex.Step(1 + int64(r.frontierLen())); err != nil {
+	if err := r.ex.Step(1 + int64(r.runs.size())); err != nil {
 		r.err = r.ex.Seal(err)
 		r.reject = RejectInterrupted
 		r.ex.Count("tag.events.rejected", 1)
@@ -196,122 +141,23 @@ func (r *Runner) Feed(e event.Event) (accepted, ok bool) {
 	}
 	r.reject = RejectNone
 	r.ex.Count("tag.events", 1)
-	r.ex.Count("tag.runs.alive", int64(r.frontierLen()))
+	r.ex.Count("tag.runs.alive", int64(r.runs.size()))
 	idx := r.steps
 	r.steps++
-	if !r.mode.Interpreted() {
-		return r.feedCompiled(e, idx)
-	}
-	return r.feedInterp(e, idx)
-}
-
-// feedInterp is the interpreted Runner step; Feed's prologue has already
-// run and idx is the 0-based position of e in the fed sequence.
-func (r *Runner) feedInterp(e event.Event, idx int) (accepted, ok bool) {
-	copy(r.prevOK, r.curOK)
-	for ci, c := range r.a.clocks {
-		g, found := r.sys.Get(c.Gran)
-		if !found {
-			r.curOK[ci] = false
-			continue
-		}
-		r.curCover[ci], r.curOK[ci] = g.TickOf(e.Time)
-	}
-	if idx == 0 {
-		for k, rs := range r.frontier {
-			copy(rs.vals, r.curCover)
-			for ci := range rs.invalid {
-				rs.invalid[ci] = !r.curOK[ci]
-			}
-			r.frontier[k] = rs
-		}
-	} else if r.opt.Strict {
-		for ci := range r.a.clocks {
-			if !r.curOK[ci] || !r.prevOK[ci] {
-				r.frontier = map[string]runState{}
-				break
-			}
-		}
-	}
 	r.prevTime = e.Time
-
-	next := make(map[string]runState, len(r.frontier))
-	var accBind map[string]int
-	accepted = false
-	for _, rs := range r.frontier {
-		rs := rs
-		read := func(c Clock) (int64, bool) {
-			ci := r.a.clockIndex[c]
-			if rs.invalid[ci] || !r.curOK[ci] {
-				return 0, false
-			}
-			return r.curCover[ci] - rs.vals[ci], true
-		}
-		for _, t := range r.a.trans[rs.state] {
-			if !t.Any && t.Symbol != e.Type {
-				continue
-			}
-			if r.opt.Anchored && idx == 0 && t.Any && t.To == t.From {
-				continue
-			}
-			if !t.Guard.Eval(read) {
-				continue
-			}
-			nr := runState{
-				state:   t.To,
-				vals:    append([]int64(nil), rs.vals...),
-				invalid: append([]bool(nil), rs.invalid...),
-				binding: rs.binding,
-			}
-			if t.Binds != "" {
-				nb := make(map[string]int, len(rs.binding)+1)
-				for k, v := range rs.binding {
-					nb[k] = v
-				}
-				nb[t.Binds] = idx
-				nr.binding = nb
-			}
-			for _, c := range t.Reset {
-				ci := r.a.clockIndex[c]
-				nr.vals[ci] = r.curCover[ci]
-				nr.invalid[ci] = !r.curOK[ci]
-			}
-			if r.a.accept[nr.state] {
-				// Keep the canonically smallest witness among this event's
-				// accepting candidates — acceptance must not depend on map
-				// iteration order, or checkpoint/resume could report a
-				// different (if equally valid) binding.
-				if !accepted || bindingKey(nr.binding) < bindingKey(accBind) {
-					accBind = nr.binding
-				}
-				accepted = true
-				continue
-			}
-			if r.a.runDoomed(&nr, r.curCover, r.curOK, r.progress[nr.state]) {
-				r.ex.Count("tag.runs.killed", 1)
-				continue
-			}
-			k := nr.key()
-			if old, dup := next[k]; dup {
-				r.ex.Count("tag.runs.deduped", 1)
-				if bindingKey(old.binding) <= bindingKey(nr.binding) {
-					continue
-				}
-			}
-			next[k] = nr
-		}
-	}
-	if accepted {
+	out := r.runs.step(e, idx, r.opt.Anchored, r.opt.Strict)
+	r.ex.Count("tag.runs.deduped", out.deduped)
+	r.ex.Count("tag.runs.killed", out.killed)
+	if out.accepted {
 		r.accepted = true
-		r.binding = accBind
+		r.binding = out.bind
 		return true, true
 	}
-	r.frontier = next
-	if len(next) > r.maxFront {
-		r.maxFront = len(next)
+	if out.front > r.maxFront {
+		r.maxFront = out.front
 	}
-	if r.opt.MaxFrontier > 0 && len(next) > r.opt.MaxFrontier {
-		r.frontier = map[string]runState{}
+	if r.opt.MaxFrontier > 0 && out.front > r.opt.MaxFrontier {
+		r.runs.clear()
 		r.degraded = true
 		r.ex.Count("tag.frontier.overflows", 1)
 	}

@@ -2,7 +2,6 @@ package tag
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -161,87 +160,6 @@ type RunStats struct {
 	AcceptedAt int
 }
 
-// runState is one NDFA run: a state plus a clock valuation. The valuation
-// is stored as the granule index at each clock's last reset (vals[i]), so a
-// reading is cover(now) − vals[i]: this telescopes to the paper's
-// accumulated value when every intermediate cover is defined, and recovers
-// after an unrelated gap event under the lazy semantics. invalid marks
-// clocks reset at an uncovered timestamp.
-type runState struct {
-	state   int
-	vals    []int64
-	invalid []bool
-	// binding records, per variable name, the index of the event each
-	// binding transition consumed. It is carried along but deliberately
-	// NOT part of the dedup key: runs differing only in their witness are
-	// interchangeable for acceptance, and keeping one of them suffices.
-	binding map[string]int
-}
-
-// bindingKey canonicalizes a witness so winner selection among
-// interchangeable runs (same dedup key, different witness) is a pure
-// function of run content, not of map iteration order. Determinism here is
-// what makes checkpoint/resume reproduce the exact binding of an
-// uninterrupted run.
-func bindingKey(b map[string]int) string {
-	if len(b) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s=%d;", k, b[k])
-	}
-	return sb.String()
-}
-
-// key builds a dedup key for the run.
-func (r runState) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d", r.state)
-	for i, v := range r.vals {
-		if r.invalid[i] {
-			b.WriteString("|x")
-		} else {
-			fmt.Fprintf(&b, "|%d", v)
-		}
-	}
-	return b.String()
-}
-
-// runDoomed reports whether the run can never reach an accepting state:
-// every state-changing transition's guard is permanently dead. Clock
-// values only grow while the run waits in its state, and an invalid clock
-// (reset at an uncovered timestamp) stays invalid, so LE atoms past their
-// bound and atoms over invalid clocks never recover. A transiently
-// uncovered current timestamp is NOT permanent: such clocks read as very
-// small values here so no atom is considered dead because of them.
-func (a *TAG) runDoomed(r *runState, curCover []int64, curOK []bool, progress []Transition) bool {
-	if len(progress) == 0 {
-		return true
-	}
-	read := func(c Clock) (int64, bool) {
-		ci := a.clockIndex[c]
-		if r.invalid[ci] {
-			return 0, false
-		}
-		if !curOK[ci] {
-			return -(1 << 60), true // unknown but recoverable: never dead
-		}
-		return curCover[ci] - r.vals[ci], true
-	}
-	for _, t := range progress {
-		if !t.Guard.Dead(read) {
-			return false
-		}
-	}
-	return true
-}
-
 // Accepts reports whether the automaton accepts the sequence: whether some
 // run reaches an accepting state at some prefix. (Compiled TAGs keep skip
 // self-loops on accepting states, so prefix acceptance and end-of-input
@@ -258,8 +176,7 @@ func (a *TAG) Accepts(sys *granularity.System, seq event.Sequence, opt RunOption
 }
 
 // AcceptsExec is Accepts under a caller-supplied execution carrier
-// (opt.Engine's budget/observer are ignored; opt.Engine.Mode still selects
-// the execution core). Unlike Accepts, an interruption surfaces as the
+// (opt.Engine is ignored). Unlike Accepts, an interruption surfaces as the
 // carrier's typed error alongside the partial stats.
 func (a *TAG) AcceptsExec(ex *engine.Exec, sys *granularity.System, seq event.Sequence, opt RunOptions) (bool, RunStats, error) {
 	_, ok, stats, err := a.run(ex, sys, seq, opt, false)
@@ -281,195 +198,108 @@ func (a *TAG) FindOccurrence(sys *granularity.System, seq event.Sequence, opt Ru
 }
 
 // FindOccurrenceExec is FindOccurrence under a caller-supplied execution
-// carrier (opt.Engine's budget/observer are ignored; opt.Engine.Mode still
-// selects the execution core); interruptions surface as the carrier's
+// carrier (opt.Engine is ignored); interruptions surface as the carrier's
 // typed error.
 func (a *TAG) FindOccurrenceExec(ex *engine.Exec, sys *granularity.System, seq event.Sequence, opt RunOptions) (map[string]int, bool, RunStats, error) {
 	w, ok, stats, err := a.run(ex, sys, seq, opt, true)
 	return w, ok, stats, ex.Seal(err)
 }
 
-// run dispatches to the execution core selected by opt.Engine.Mode: the
-// compiled flat-array program by default, the interpreted walker when the
-// caller asked for it (differential testing, one-release migration escape
-// hatch). Both produce identical verdicts, witnesses, stats and counters.
+// run is the production batch simulation: the compiled program over a
+// pooled scratch.
 func (a *TAG) run(ex *engine.Exec, sys *granularity.System, seq event.Sequence, opt RunOptions, witness bool) (map[string]int, bool, RunStats, error) {
-	if opt.Engine.Mode.Interpreted() {
-		return a.runInterp(ex, sys, seq, opt, witness)
-	}
-	return a.runCompiled(ex, sys, seq, opt, witness)
+	p := a.program()
+	s := p.getScratch(sys, witness)
+	defer p.pool.Put(s)
+	return a.simulate(ex, s, seq, opt)
 }
 
-func (a *TAG) runInterp(ex *engine.Exec, sys *granularity.System, seq event.Sequence, opt RunOptions, witness bool) (map[string]int, bool, RunStats, error) {
-	stats := RunStats{AcceptedAt: -1}
-	frontier := make(map[string]runState)
-	addRun := func(r runState) {
-		frontier[r.key()] = r
-	}
+// frontier is one TAG execution core's deduplicated run set: the
+// compiled program's flat buffers (progScratch) or the reference
+// interpreter's run map (interp). The batch simulation and the streaming
+// Runner drive either core through its one step.
+type frontier interface {
+	// step consumes the event at 0-based input position idx under the
+	// RunOptions semantics anchored and strict: clock covers, initiation
+	// (idx 0) or the strict-mode kill, then every enabled transition with
+	// its resets, followed by acceptance, doomed-run pruning and dedup. On
+	// acceptance the frontier is left as it was before the event.
+	step(e event.Event, idx int, anchored, strict bool) stepOut
+	// size is the current deduplicated run count.
+	size() int
+	// clear empties the frontier (the MaxFrontier safety valve).
+	clear()
+	// covered is, per clock, whether the last consumed timestamp was
+	// covered; Snapshot and RestoreRunner read and write it in place.
+	covered() []bool
+	// snapshot and load convert the frontier to and from checkpoint runs
+	// sorted by dedup key, in one format for both cores.
+	snapshot() []CheckpointRun
+	load(runs []CheckpointRun) error
+}
+
+// stepOut is one step's outcome.
+type stepOut struct {
+	accepted bool
+	// bind is the canonically smallest accepting witness (nil when nothing
+	// is bound or witnesses are not tracked).
+	bind map[string]int
+	// front is the deduplicated run count the event produced (the runs
+	// that did not accept).
+	front int
+	// deduped and killed count the runs merged by dedup and pruned as
+	// doomed during the step.
+	deduped, killed int64
+}
+
+// startAccepts reports whether some start state accepts: the empty prefix
+// is already an occurrence.
+func (a *TAG) startAccepts() bool {
 	for _, s := range a.starts {
 		if a.accept[s] {
-			stats.AcceptedAt = 0
-			return map[string]int{}, true, stats, nil
-		}
-		addRun(runState{
-			state:   s,
-			vals:    make([]int64, len(a.clocks)),
-			invalid: make([]bool, len(a.clocks)),
-		})
-	}
-
-	// Per-clock current cover indices are shared across runs: they depend
-	// only on the current timestamp.
-	curCover := make([]int64, len(a.clocks))
-	curOK := make([]bool, len(a.clocks))
-	prevOK := make([]bool, len(a.clocks))
-
-	// progress[s] are the state-changing transitions out of s; a run whose
-	// progress transitions are all permanently dead can never accept and
-	// is pruned.
-	progress := make([][]Transition, len(a.trans))
-	for s, ts := range a.trans {
-		for _, t := range ts {
-			if t.To != t.From {
-				progress[s] = append(progress[s], t)
-			}
+			return true
 		}
 	}
+	return false
+}
 
-	var events, alive, deduped, killed int64
+// simulate is the batch simulation over either core: budget, counters,
+// stats, the MaxFrontier valve and the stop at the first acceptance. Each
+// consumed event spends one budget unit plus one per live run.
+func (a *TAG) simulate(ex *engine.Exec, c frontier, seq event.Sequence, opt RunOptions) (map[string]int, bool, RunStats, error) {
+	stats := RunStats{AcceptedAt: -1}
+	if a.startAccepts() {
+		stats.AcceptedAt = 0
+		return map[string]int{}, true, stats, nil
+	}
+	var alive, deduped, killed int64
 	flush := func() {
-		ex.Count("tag.events", events)
+		ex.Count("tag.events", int64(stats.Steps))
 		ex.Count("tag.runs.alive", alive)
 		ex.Count("tag.runs.deduped", deduped)
 		ex.Count("tag.runs.killed", killed)
-		events, alive, deduped, killed = 0, 0, 0, 0
 	}
 	for idx, e := range seq {
-		if err := ex.Step(1 + int64(len(frontier))); err != nil {
+		if err := ex.Step(1 + int64(c.size())); err != nil {
 			flush()
 			return nil, false, stats, err
 		}
-		events++
-		alive += int64(len(frontier))
+		alive += int64(c.size())
 		stats.Steps++
-		copy(prevOK, curOK)
-		for ci, c := range a.clocks {
-			g, ok := sys.Get(c.Gran)
-			if !ok {
-				curOK[ci] = false
-				continue
-			}
-			curCover[ci], curOK[ci] = g.TickOf(e.Time)
+		out := c.step(e, idx, opt.Anchored, opt.Strict)
+		deduped += out.deduped
+		killed += out.killed
+		if out.front > stats.MaxFrontier {
+			stats.MaxFrontier = out.front
 		}
-		if idx == 0 {
-			// Initiation: all clocks read 0 at the first event, i.e. they
-			// behave as if reset there.
-			for k, r := range frontier {
-				copy(r.vals, curCover)
-				for ci := range r.invalid {
-					r.invalid[ci] = !curOK[ci]
-				}
-				frontier[k] = r
-			}
-		} else if opt.Strict {
-			// Paper-literal semantics: the update value must be defined
-			// for every clock at every step, or the run cannot continue —
-			// and the deltas are shared, so all runs die together.
-			for ci := range a.clocks {
-				if !curOK[ci] || !prevOK[ci] {
-					frontier = nil
-					break
-				}
-			}
-		}
-
-		read := func(r *runState) func(Clock) (int64, bool) {
-			return func(c Clock) (int64, bool) {
-				ci := a.clockIndex[c]
-				if r.invalid[ci] || !curOK[ci] {
-					return 0, false
-				}
-				return curCover[ci] - r.vals[ci], true
-			}
-		}
-		next := make(map[string]runState, len(frontier))
-		var accBind map[string]int
-		accepted := false
-		for _, r := range frontier {
-			r := r
-			rd := read(&r)
-			for _, t := range a.trans[r.state] {
-				if !t.Any && t.Symbol != e.Type {
-					continue
-				}
-				if opt.Anchored && idx == 0 && t.Any && t.To == t.From {
-					continue // no skipping the anchor event
-				}
-				if !t.Guard.Eval(rd) {
-					continue
-				}
-				nr := runState{
-					state:   t.To,
-					vals:    append([]int64(nil), r.vals...),
-					invalid: append([]bool(nil), r.invalid...),
-					binding: r.binding,
-				}
-				if witness && t.Binds != "" {
-					nb := make(map[string]int, len(r.binding)+1)
-					for k, v := range r.binding {
-						nb[k] = v
-					}
-					nb[t.Binds] = idx
-					nr.binding = nb
-				}
-				for _, c := range t.Reset {
-					ci := a.clockIndex[c]
-					nr.vals[ci] = curCover[ci]
-					nr.invalid[ci] = !curOK[ci]
-				}
-				if a.accept[nr.state] {
-					// Collect every accepting candidate of this event and
-					// keep the canonically smallest witness, so the
-					// reported binding does not depend on map iteration
-					// order (checkpoint/resume must reproduce it exactly).
-					if !accepted || bindingKey(nr.binding) < bindingKey(accBind) {
-						accBind = nr.binding
-					}
-					accepted = true
-					continue
-				}
-				if a.runDoomed(&nr, curCover, curOK, progress[nr.state]) {
-					killed++
-					continue
-				}
-				k := nr.key()
-				if old, dup := next[k]; dup {
-					deduped++
-					if bindingKey(old.binding) <= bindingKey(nr.binding) {
-						continue
-					}
-				}
-				next[k] = nr
-			}
-		}
-		if accepted {
+		if out.accepted {
 			stats.AcceptedAt = idx
-			if len(next) > stats.MaxFrontier {
-				stats.MaxFrontier = len(next)
-			}
 			flush()
-			return accBind, true, stats, nil
+			return out.bind, true, stats, nil
 		}
-		frontier = next
-		if len(frontier) > stats.MaxFrontier {
-			stats.MaxFrontier = len(frontier)
-		}
-		if opt.MaxFrontier > 0 && len(frontier) > opt.MaxFrontier {
-			// Safety valve: refuse to blow up. Report non-acceptance with
-			// the stats gathered so far.
-			break
-		}
-		if len(frontier) == 0 {
+		// Stop on an empty frontier, or refuse to blow up past the safety
+		// valve: non-acceptance with the stats gathered so far.
+		if out.front == 0 || (opt.MaxFrontier > 0 && out.front > opt.MaxFrontier) {
 			break
 		}
 	}

@@ -17,11 +17,18 @@ if [ -n "$fmt" ]; then
 	echo "$fmt" >&2
 	exit 1
 fi
+echo '>> reference-only guard (tag.Reference, the interpreted TAG core, stays out of production code)'
+ref=$(grep -rlE --include='*.go' 'tag\.Reference([^A-Za-z0-9_]|$)' . | grep -v '_test\.go$' | grep -vE '^\./internal/(tag|oracle)/' || true)
+if [ -n "$ref" ]; then
+	echo "non-test code outside internal/tag and internal/oracle calls tag.Reference:" >&2
+	echo "$ref" >&2
+	exit 1
+fi
 echo '>> go test -race -shuffle=on ./...'
 go test -race -shuffle=on ./...
 echo '>> oracle smoke (differential contracts over 200 seeds)'
 go run ./cmd/tempofuzz -seeds "${ORACLE_SEEDS:-200}" -repro-dir "${TMPDIR:-/tmp}/oracle-smoke-repros"
-echo '>> exec-equiv oracle smoke (compiled vs interpreted core over 300 seeds)'
+echo '>> exec-equiv oracle smoke (compiled core vs interpreted reference over 300 seeds)'
 go run ./cmd/tempofuzz -seeds "${EXEC_EQUIV_SEEDS:-300}" -contracts exec-equiv -repro-dir "${TMPDIR:-/tmp}/oracle-smoke-repros"
 echo '>> incremental-equiv oracle smoke (incremental vs batch mining over 300 seeds)'
 go run ./cmd/tempofuzz -seeds "${INCR_EQUIV_SEEDS:-300}" -contracts incremental-equiv -repro-dir "${TMPDIR:-/tmp}/oracle-smoke-repros"
